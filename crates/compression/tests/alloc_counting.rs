@@ -3,20 +3,29 @@
 //! `compress_into` (scratch buffer already grown) allocates nothing.
 //!
 //! Deterministic corpus only — proptest itself allocates, which would
-//! drown the signal.
+//! drown the signal. Allocations are counted per thread, so tests the
+//! harness runs in parallel never see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use compresso_compression::{Bdi, Bpc, CPack, Compressor, Fpc, Line, Scratch, LINE_SIZE};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations (and reallocations) made by the current thread.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +34,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -34,9 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 /// A mixed corpus hitting every encoder mode: zero, repeat, arithmetic,
@@ -127,4 +136,15 @@ fn warm_compress_into_is_allocation_free() {
     assert_warm_encode_alloc_free(&Fpc::new(), &lines);
     assert_warm_encode_alloc_free(&Bpc::new(), &lines);
     assert_warm_encode_alloc_free(&CPack::new(), &lines);
+}
+
+#[test]
+fn counter_sees_this_threads_allocations() {
+    let allocs = allocations_during(|| {
+        std::hint::black_box(vec![0u8; LINE_SIZE]);
+    });
+    assert!(
+        allocs >= 1,
+        "the per-thread counter must observe allocations"
+    );
 }

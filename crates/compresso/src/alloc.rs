@@ -25,23 +25,28 @@ impl std::error::Error for OutOfMpaSpace {}
 
 /// Fixed 512 B chunk allocator (Compresso's scheme: trivial to manage,
 /// 8 page sizes via 1–8 chunks).
+///
+/// Lazy: chunks at or above the high-water mark `fresh` have never been
+/// handed out and are implicit. Freed chunks go on the `recycled` stack,
+/// which `alloc` drains (LIFO) before taking the next fresh chunk — the
+/// order an eager free list of every chunk, lowest on top, would give.
 #[derive(Debug, Clone)]
 pub struct ChunkAllocator {
-    free: Vec<u32>,
+    recycled: Vec<u32>,
+    fresh: u32,
     total: u32,
     /// Telemetry mirror of `used_bytes()`.
     used_gauge: Gauge,
 }
 
 impl ChunkAllocator {
-    /// Creates an allocator over `capacity_bytes` of MPA space.
+    /// Creates an allocator over `capacity_bytes` of MPA space. Low
+    /// chunk ids are handed out first.
     pub fn new(capacity_bytes: u64) -> Self {
-        let total = (capacity_bytes / CHUNK_BYTES as u64) as u32;
-        // Free list kept so that low chunk ids are handed out first.
-        let free = (0..total).rev().collect();
         Self {
-            free,
-            total,
+            recycled: Vec::new(),
+            fresh: 0,
+            total: (capacity_bytes / CHUNK_BYTES as u64) as u32,
             used_gauge: Gauge::new(),
         }
     }
@@ -49,16 +54,24 @@ impl ChunkAllocator {
     /// Rebuilds an allocator whose `owned` chunks are already in use —
     /// the cold-boot recovery path, where ownership is reconstructed
     /// from the journal rather than replayed through `alloc()` calls.
-    /// Free chunks are handed out lowest-first, as in [`Self::new`].
+    /// Free chunks are handed out lowest-first, as in [`Self::new`];
+    /// only chunks below the highest owned one are walked.
     pub fn rebuild(capacity_bytes: u64, owned: &[u32]) -> Self {
         let total = (capacity_bytes / CHUNK_BYTES as u64) as u32;
-        let owned_set: std::collections::HashSet<u32> = owned.iter().copied().collect();
-        let free: Vec<u32> = (0..total)
-            .rev()
-            .filter(|c| !owned_set.contains(c))
-            .collect();
+        let fresh = owned
+            .iter()
+            .filter(|&&c| c < total)
+            .map(|&c| c + 1)
+            .max()
+            .unwrap_or(0);
+        let mut busy = vec![false; fresh as usize];
+        for &c in owned.iter().filter(|&&c| c < fresh) {
+            busy[c as usize] = true;
+        }
+        let recycled = (0..fresh).rev().filter(|&c| !busy[c as usize]).collect();
         let a = Self {
-            free,
+            recycled,
+            fresh,
             total,
             used_gauge: Gauge::new(),
         };
@@ -78,7 +91,14 @@ impl ChunkAllocator {
     ///
     /// Returns [`OutOfMpaSpace`] when no chunks remain.
     pub fn alloc(&mut self) -> Result<u32, OutOfMpaSpace> {
-        let chunk = self.free.pop().ok_or(OutOfMpaSpace)?;
+        let chunk = match self.recycled.pop() {
+            Some(c) => c,
+            None if self.fresh < self.total => {
+                self.fresh += 1;
+                self.fresh - 1
+            }
+            None => return Err(OutOfMpaSpace),
+        };
         self.used_gauge.set(self.used_bytes() as i64);
         Ok(chunk)
     }
@@ -86,13 +106,13 @@ impl ChunkAllocator {
     /// Frees a chunk.
     pub fn free(&mut self, chunk: u32) {
         debug_assert!(chunk < self.total);
-        self.free.push(chunk);
+        self.recycled.push(chunk);
         self.used_gauge.set(self.used_bytes() as i64);
     }
 
     /// Chunks currently allocated.
     pub fn used_chunks(&self) -> u32 {
-        self.total - self.free.len() as u32
+        self.fresh - self.recycled.len() as u32
     }
 
     /// Bytes currently allocated.
@@ -113,10 +133,16 @@ impl ChunkAllocator {
 
 /// Binary buddy allocator over 4 KB blocks offering the 4 variable sizes
 /// {512 B, 1 KB, 2 KB, 4 KB}.
+///
+/// The 4 KB free list is lazy, as in [`ChunkAllocator`]: blocks at or
+/// above the high-water mark `fresh` are implicit, and the explicit
+/// order-3 list only holds blocks below it.
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
     /// Free lists by order: order 0 = 512 B … order 3 = 4 KB.
     free: [Vec<u64>; 4],
+    /// Index of the lowest 4 KB block never handed out.
+    fresh: u64,
     capacity: u64,
     used: u64,
     /// Telemetry mirror of `used_bytes()`.
@@ -127,12 +153,10 @@ impl BuddyAllocator {
     /// Creates a buddy allocator over `capacity_bytes` (rounded down to
     /// 4 KB).
     pub fn new(capacity_bytes: u64) -> Self {
-        let blocks = capacity_bytes / 4096;
-        let mut free: [Vec<u64>; 4] = Default::default();
-        free[3] = (0..blocks).rev().map(|b| b * 4096).collect();
         Self {
-            free,
-            capacity: blocks * 4096,
+            free: Default::default(),
+            fresh: 0,
+            capacity: capacity_bytes / 4096 * 4096,
             used: 0,
             used_gauge: Gauge::new(),
         }
@@ -142,17 +166,23 @@ impl BuddyAllocator {
     /// bytes)` pairs) — the cold-boot recovery path. The complement is
     /// carved into maximal aligned free blocks, handed out lowest-first
     /// per order, as the equivalent alloc/free history would leave them.
+    /// Only 4 KB blocks below the highest owned one are walked.
     pub fn rebuild(capacity_bytes: u64, owned: &[(u64, u32)]) -> Self {
-        let blocks = capacity_bytes / 4096;
-        // 512 B granule occupancy bitmap.
+        let capacity = capacity_bytes / 4096 * 4096;
+        let mut used = 0u64;
+        let mut end = 0u64;
+        for &(addr, bytes) in owned {
+            let size = Self::round_up(bytes.max(1)) as u64;
+            used += size;
+            end = end.max(addr.saturating_add(size));
+        }
+        let blocks = end.min(capacity).div_ceil(4096);
+        // 512 B granule occupancy bitmap below the high-water mark.
         let granules = (blocks * 8) as usize;
         let mut busy = vec![false; granules];
-        let mut used = 0u64;
         for &(addr, bytes) in owned {
-            let size = Self::round_up(bytes.max(1));
-            used += size as u64;
-            let first = (addr / 512) as usize;
-            let last = (first + (size / 512) as usize).min(granules);
+            let first = ((addr / 512) as usize).min(granules);
+            let last = (first + (Self::round_up(bytes.max(1)) / 512) as usize).min(granules);
             busy[first..last].fill(true);
         }
         let mut free: [Vec<u64>; 4] = Default::default();
@@ -175,7 +205,8 @@ impl BuddyAllocator {
         }
         let a = Self {
             free,
-            capacity: blocks * 4096,
+            fresh: blocks,
+            capacity,
             used,
             used_gauge: Gauge::new(),
         };
@@ -225,13 +256,17 @@ impl BuddyAllocator {
     pub fn alloc(&mut self, bytes: u32) -> Result<u64, CompressoError> {
         let want = Self::order_of(bytes)?;
         let mut order = want;
-        while order < 4 && self.free[order].is_empty() {
+        while order < 3 && self.free[order].is_empty() {
             order += 1;
         }
-        if order == 4 {
-            return Err(CompressoError::OutOfMpaSpace);
-        }
-        let addr = self.free[order].pop().expect("free list checked nonempty");
+        let addr = match self.free[order].pop() {
+            Some(addr) => addr,
+            None if self.fresh * 4096 < self.capacity => {
+                self.fresh += 1;
+                (self.fresh - 1) * 4096
+            }
+            None => return Err(CompressoError::OutOfMpaSpace),
+        };
         // Split down to the wanted order, pushing buddies.
         while order > want {
             order -= 1;
@@ -405,6 +440,142 @@ mod tests {
         b.free(0, 512);
         b.free(0x1000, 1024);
         assert_eq!(b.used_bytes(), 8192 - 512 - 1024);
+    }
+
+    /// Eager reference models: every free block on an explicit list,
+    /// lowest on top — the layout the lazy allocators must reproduce.
+    struct RefChunks(Vec<u32>);
+
+    impl RefChunks {
+        fn rebuild(total: u32, owned: &[u32]) -> Self {
+            Self((0..total).rev().filter(|c| !owned.contains(c)).collect())
+        }
+    }
+
+    struct RefBuddy([Vec<u64>; 4]);
+
+    impl RefBuddy {
+        fn rebuild(blocks: u64, owned: &[(u64, u32)]) -> Self {
+            let mut busy = vec![false; (blocks * 8) as usize];
+            for &(addr, bytes) in owned {
+                let first = (addr / 512) as usize;
+                busy[first..first + (bytes / 512) as usize].fill(true);
+            }
+            // Carve every 4 KB block into maximal aligned free runs.
+            fn carve(busy: &[bool], first: usize, order: usize, free: &mut [Vec<u64>; 4]) {
+                let span = 1usize << order;
+                if busy[first..first + span].iter().all(|&b| !b) {
+                    free[order].push(first as u64 * 512);
+                } else if order > 0 {
+                    carve(busy, first, order - 1, free);
+                    carve(busy, first + span / 2, order - 1, free);
+                }
+            }
+            let mut free: [Vec<u64>; 4] = Default::default();
+            for b in 0..blocks as usize {
+                carve(&busy, b * 8, 3, &mut free);
+            }
+            for list in free.iter_mut() {
+                list.reverse();
+            }
+            Self(free)
+        }
+
+        fn alloc(&mut self, bytes: u32) -> Option<u64> {
+            let want = (bytes / 512).trailing_zeros() as usize;
+            let mut order = (want..4).find(|&o| !self.0[o].is_empty())?;
+            let addr = self.0[order].pop()?;
+            while order > want {
+                order -= 1;
+                self.0[order].push(addr + (512 << order));
+            }
+            Some(addr)
+        }
+
+        fn free(&mut self, addr: u64, bytes: u32) {
+            let mut order = (bytes / 512).trailing_zeros() as usize;
+            let mut addr = addr;
+            while order < 3 {
+                let buddy = addr ^ (512 << order);
+                let Some(pos) = self.0[order].iter().position(|&a| a == buddy) else {
+                    break;
+                };
+                self.0[order].swap_remove(pos);
+                addr = addr.min(buddy);
+                order += 1;
+            }
+            self.0[order].push(addr);
+        }
+    }
+
+    /// xorshift64: a fixed, dependency-free schedule generator.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn lazy_chunk_allocator_matches_the_eager_reference() {
+        const TOTAL: u32 = 96;
+        for seed in 1..=8u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut lazy = ChunkAllocator::new(TOTAL as u64 * 512);
+            let mut eager = RefChunks::rebuild(TOTAL, &[]);
+            let mut held: Vec<u32> = Vec::new();
+            for step in 0..2_000 {
+                match next(&mut rng) % 16 {
+                    0 => {
+                        lazy = ChunkAllocator::rebuild(TOTAL as u64 * 512, &held);
+                        eager = RefChunks::rebuild(TOTAL, &held);
+                    }
+                    1..=5 if !held.is_empty() => {
+                        let c = held.swap_remove(next(&mut rng) as usize % held.len());
+                        lazy.free(c);
+                        eager.0.push(c);
+                    }
+                    _ => {
+                        let got = lazy.alloc().ok();
+                        assert_eq!(got, eager.0.pop(), "seed {seed} step {step}");
+                        held.extend(got);
+                    }
+                }
+                assert_eq!(lazy.used_chunks() as usize, held.len());
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_buddy_allocator_matches_the_eager_reference() {
+        const BLOCKS: u64 = 12;
+        for seed in 1..=8u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut lazy = BuddyAllocator::new(BLOCKS * 4096);
+            let mut eager = RefBuddy::rebuild(BLOCKS, &[]);
+            let mut held: Vec<(u64, u32)> = Vec::new();
+            for step in 0..2_000 {
+                match next(&mut rng) % 16 {
+                    0 => {
+                        lazy = BuddyAllocator::rebuild(BLOCKS * 4096, &held);
+                        eager = RefBuddy::rebuild(BLOCKS, &held);
+                    }
+                    1..=5 if !held.is_empty() => {
+                        let (addr, bytes) = held.swap_remove(next(&mut rng) as usize % held.len());
+                        lazy.free(addr, bytes);
+                        eager.free(addr, bytes);
+                    }
+                    r => {
+                        let bytes = 512 << (r % 4);
+                        let got = lazy.alloc(bytes).ok();
+                        assert_eq!(got, eager.alloc(bytes), "seed {seed} step {step}");
+                        held.extend(got.map(|addr| (addr, bytes)));
+                    }
+                }
+                let held_bytes: u64 = held.iter().map(|&(_, b)| b as u64).sum();
+                assert_eq!(lazy.used_bytes(), held_bytes);
+            }
+        }
     }
 
     #[test]

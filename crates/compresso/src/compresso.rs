@@ -3,7 +3,7 @@
 
 use crate::alloc::{BuddyAllocator, ChunkAllocator};
 use crate::config::{CompressoConfig, PageAllocation};
-use crate::device::{LineSizer, MemoryDevice};
+use crate::device::{page_line_sizes, resize_written_line, LineSizes, MemoryDevice};
 use crate::error::CompressoError;
 use crate::faultkit::{FaultPlan, FaultStats, MetadataFault};
 use crate::journal::{
@@ -86,11 +86,14 @@ enum Allocator {
 /// controller (see crate docs).
 pub struct CompressoDevice {
     cfg: CompressoConfig,
-    sizer: LineSizer,
+    codec: Codec,
     world: Box<dyn LineSource>,
     mem: MainMemory,
     mcache: MetadataCache,
     pages: HashMap<u64, PageMeta>,
+    /// True line sizes of every sized page (see [`LineSizes`]); the
+    /// line bins in `pages` are these sizes quantized at placement time.
+    line_sizes: LineSizes,
     alloc: Allocator,
     /// Buddy base address per page (Variable4 only).
     buddy_base: HashMap<u64, u64>,
@@ -208,9 +211,10 @@ impl CompressoDevice {
             mcache: MetadataCache::paper_default(config.mcache_half_entries),
             mem: MainMemory::new(MemConfig::ddr4_2666()),
             cfg: config,
-            sizer: LineSizer::new(codec),
+            codec,
             world,
             pages: HashMap::new(),
+            line_sizes: HashMap::new(),
             alloc,
             buddy_base: HashMap::new(),
             predictor: OverflowPredictor::new(),
@@ -293,6 +297,7 @@ impl CompressoDevice {
         if self.crashed {
             return;
         }
+        self.line_sizes.remove(&page);
         if let Some(meta) = self.pages.remove(&page) {
             self.release_chunks(page, &meta);
             self.commit_page_free(page);
@@ -690,13 +695,17 @@ impl CompressoDevice {
     // Size and layout helpers
     // ------------------------------------------------------------------
 
-    fn line_size(&mut self, line_addr: u64) -> usize {
-        self.sizer.size(self.world.as_ref(), line_addr, &self.stats)
-    }
-
-    fn line_bin(&mut self, line_addr: u64) -> u8 {
-        let size = self.line_size(line_addr);
-        self.cfg.bins.quantize(size).index
+    /// The bin index of each of `page`'s lines, quantized from its true
+    /// line sizes.
+    fn line_bins(&mut self, page: u64) -> [u8; LINES_PER_PAGE] {
+        let sizes = page_line_sizes(
+            &mut self.line_sizes,
+            self.codec,
+            self.world.as_ref(),
+            page,
+            &self.stats,
+        );
+        sizes.map(|size| self.cfg.bins.quantize(size as usize).index)
     }
 
     fn metadata_addr(page: u64) -> u64 {
@@ -818,13 +827,8 @@ impl CompressoDevice {
         if self.pages.contains_key(&page) {
             return;
         }
-        let mut bins = [0u8; LINES_PER_PAGE];
-        let mut all_zero = true;
-        for (line, bin) in bins.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *bin = self.line_bin(addr);
-            all_zero &= *bin == 0;
-        }
+        let bins = self.line_bins(page);
+        let all_zero = bins.iter().all(|&b| b == 0);
         let meta = if all_zero {
             PageMeta::zero_page()
         } else {
@@ -1050,15 +1054,10 @@ impl CompressoDevice {
         }
         let old_bytes = meta.page_bytes;
         let old_used = meta.used_bytes(&self.cfg.bins);
-        // Recompute current line sizes (harvesting underflows, inflated
-        // lines, and predictor-inflated pages).
-        let mut bins = [0u8; LINES_PER_PAGE];
-        let mut all_zero = true;
-        for (line, bin) in bins.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *bin = self.line_bin(addr);
-            all_zero &= *bin == 0;
-        }
+        // Re-bin from the current line sizes (harvesting underflows,
+        // inflated lines, and predictor-inflated pages).
+        let bins = self.line_bins(page);
+        let all_zero = bins.iter().all(|&b| b == 0);
         let new_data: u32 = bins
             .iter()
             .map(|&b| self.cfg.bins.bin(b).bytes as u32)
@@ -1113,11 +1112,7 @@ impl CompressoDevice {
     /// consistent again.
     fn recompress_page(&mut self, now: u64, page: u64) -> u64 {
         let meta = self.pages.get(&page).expect("page exists").clone();
-        let mut bins = [0u8; LINES_PER_PAGE];
-        for (line, bin) in bins.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *bin = self.line_bin(addr);
-        }
+        let bins = self.line_bins(page);
         let new_data: u32 = bins
             .iter()
             .map(|&b| self.cfg.bins.bin(b).bytes as u32)
@@ -1286,8 +1281,14 @@ impl Backend for CompressoDevice {
 
         // The store stream changes the data.
         self.world.on_writeback(line_addr);
-        let new_size = self.line_size(line_addr);
-        let new_bin = self.cfg.bins.quantize(new_size);
+        let new_size = resize_written_line(
+            &mut self.line_sizes,
+            self.codec,
+            self.world.as_ref(),
+            line_addr,
+            &self.stats,
+        );
+        let new_bin = self.cfg.bins.quantize(new_size as usize);
 
         let meta = self.pages.get(&page).expect("ensured");
         // Zero-line writeback to a zero (or any) page slot of bin 0: pure
@@ -1503,5 +1504,76 @@ impl MemoryDevice for CompressoDevice {
 
     fn touched_ospa_bytes(&self) -> u64 {
         self.pages.len() as u64 * PAGE_BYTES as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::size_line;
+    use crate::faultkit::FaultConfig;
+    use compresso_workloads::{benchmark, DataWorld};
+
+    /// Enough pages to overflow the metadata cache (so victims repack)
+    /// with a write mix that makes lines overflow and underflow.
+    fn churn(d: &mut CompressoDevice, pages: u64, rounds: u64) {
+        let mut t = 0;
+        for round in 0..rounds {
+            for page in 0..pages {
+                let base = page * PAGE_BYTES as u64;
+                t = d.fill(t, base + ((page + round) % 64) * 64).max(t);
+                for k in 0..(page + round) % 8 * 2 {
+                    let line = (page * 5 + round * 11 + k * 17) % 64;
+                    t = d.writeback(t, base + line * 64).max(t);
+                }
+            }
+        }
+    }
+
+    /// Every table entry equals a fresh sizing of its page from the
+    /// world, and the kernel ran only for first sizings and writebacks.
+    fn audit_line_sizes(d: &CompressoDevice) {
+        let scratch = DeviceEvents::new();
+        for (&page, sizes) in &d.line_sizes {
+            for (line, &size) in sizes.iter().enumerate() {
+                let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
+                let fresh = size_line(d.codec, d.world.as_ref(), addr, &scratch);
+                assert_eq!(size, fresh, "page {page} line {line}: stale table size");
+            }
+        }
+        let s = d.device_stats();
+        assert_eq!(
+            s.size_calls - s.size_memo_hits,
+            64 * d.line_sizes.len() as u64 + s.demand_writebacks,
+            "a line is sized on first need and on each write only ({s:?})"
+        );
+    }
+
+    #[test]
+    fn line_size_table_matches_the_world_through_churn_and_recovery() {
+        let profile = benchmark("soplex").expect("paper benchmark");
+        let mut d = CompressoDevice::new(CompressoConfig::durable(), DataWorld::new(&profile));
+        d.inject_faults(FaultPlan::new(7, FaultConfig::default()).with_crash_at(12_000));
+        churn(&mut d, 2_000, 6);
+        assert!(d.is_crashed(), "the armed crash must fire mid-churn");
+        let s = d.device_stats();
+        assert!(s.repacks > 0, "churn must repack ({s:?})");
+        // Overflows the inflation room could not absorb recompress pages.
+        assert!(s.ir_placements > 0 && s.overflow_extra > 0, "{s:?}");
+        audit_line_sizes(&d);
+
+        let journal = d.journal_bytes().expect("journaled").to_vec();
+        let (mut r, report) =
+            CompressoDevice::recover(d.cfg, Box::new(DataWorld::new(&profile)), &journal);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert!(r.line_sizes.is_empty(), "recovered pages carry no sizes");
+        churn(&mut r, 2_000, 2);
+        let s = r.device_stats();
+        assert!(s.repacks > 0 && s.size_memo_hits > 0, "{s:?}");
+        assert!(
+            !r.line_sizes.is_empty(),
+            "recovered pages are sized on need"
+        );
+        audit_line_sizes(&r);
     }
 }

@@ -1,121 +1,83 @@
 //! The memory-device abstraction, the uncompressed baseline, and the
-//! shared size-only fast path ([`LineSizer`]) the compressed devices
-//! sit on.
+//! line sizing shared by the compressed devices: [`size_line`] runs the
+//! size kernel on one line, [`resize_written_line`] keeps a page's
+//! [`LineSizes`] entry current on writeback, and [`page_line_sizes`]
+//! answers a page's sizes from its entry.
 
 use crate::compresso::Codec;
+use crate::metadata::{LINES_PER_PAGE, PAGE_BYTES};
 use crate::stats::{DeviceEvents, DeviceStats};
 use compresso_cache_sim::Backend;
-use compresso_compression::{CompressedLineRef, Scratch};
 use compresso_mem_sim::{MainMemory, MemConfig, MemStats};
 use compresso_telemetry::Registry;
 use compresso_workloads::LineSource;
+use std::collections::HashMap;
 
-/// Entries in the direct-mapped line-size memo (~32 K lines ≈ 2 MB of
-/// OSPA coverage per device; conflicts just recompute).
-const MEMO_ENTRIES: usize = 1 << 15;
-
-/// One memo slot: the size of line `line_id` at content `generation`.
-#[derive(Debug, Clone, Copy)]
-struct MemoEntry {
-    line_id: u64,
-    generation: u64,
-    size: u8,
-    valid: bool,
-}
-
-const EMPTY_MEMO_ENTRY: MemoEntry = MemoEntry {
-    line_id: 0,
-    generation: 0,
-    size: 0,
-    valid: false,
-};
-
-/// The per-device size-only compression fast path shared by
-/// [`crate::CompressoDevice`] and [`crate::LcpDevice`].
+/// The true compressed size in bytes of every line of every sized page,
+/// keyed by OSPA page — the per-line size codes a Compresso metadata
+/// entry keeps, held apart from the page's allocated or inflated layout.
 ///
-/// Every fill/writeback/repack sizing goes through [`LineSizer::size`]:
-/// a direct-mapped memo keyed by line address and tagged with the line's
-/// *content generation* (bumped by the world on every write) answers
-/// re-sizings of untouched lines; misses run the codec's allocation-free
-/// size kernel. A stale tag can never be read — any write changes the
-/// generation, so the tag comparison fails and the size is recomputed.
-/// Conflict eviction only costs a recompute (the kernel is pure), so the
-/// memo is behaviorally invisible.
-///
-/// The embedded [`Scratch`] backs [`LineSizer::encode`], the only full-
-/// encode route on a device; it counts into
-/// `codec.size_fastpath.full_encode.total`, which device hot paths keep
-/// at zero.
-pub struct LineSizer {
+/// A line's bytes change only in its device's own `writeback`, which
+/// stores the re-sized line, so an entry always equals a fresh sizing of
+/// the page from the world. A page has no entry until it is first sized:
+/// on first touch, or — for a page rebuilt by cold-boot recovery, which
+/// has no data — on first need.
+pub(crate) type LineSizes = HashMap<u64, [u8; LINES_PER_PAGE]>;
+
+/// Compressed size in bytes of the line at `line_addr` (0 for an
+/// all-zero line): one run of the codec's allocation-free size kernel.
+pub(crate) fn size_line(
     codec: Codec,
-    memo: Box<[MemoEntry]>,
-    scratch: Scratch,
-}
-
-impl std::fmt::Debug for LineSizer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LineSizer")
-            .field("codec", &self.codec)
-            .finish_non_exhaustive()
+    world: &dyn LineSource,
+    line_addr: u64,
+    events: &DeviceEvents,
+) -> u8 {
+    events.size_calls.add(1);
+    let data = world.line_data(line_addr);
+    if compresso_compression::is_zero_line(&data) {
+        0
+    } else {
+        codec.compressed_size(&data) as u8
     }
 }
 
-impl LineSizer {
-    /// Creates a sizer for `codec` with a cold memo.
-    pub fn new(codec: Codec) -> Self {
-        Self {
-            codec,
-            memo: vec![EMPTY_MEMO_ENTRY; MEMO_ENTRIES].into_boxed_slice(),
-            scratch: Scratch::new(),
-        }
+/// Re-sizes the just-written line at `line_addr`, storing the new size
+/// in its page's entry. A page without an entry is left without one.
+pub(crate) fn resize_written_line(
+    table: &mut LineSizes,
+    codec: Codec,
+    world: &dyn LineSource,
+    line_addr: u64,
+    events: &DeviceEvents,
+) -> u8 {
+    let size = size_line(codec, world, line_addr, events);
+    if let Some(sizes) = table.get_mut(&(line_addr / PAGE_BYTES as u64)) {
+        sizes[(line_addr % PAGE_BYTES as u64 / 64) as usize] = size;
     }
+    size
+}
 
-    /// The codec this sizer runs.
-    pub fn codec(&self) -> Codec {
-        self.codec
+/// The true sizes of `page`'s 64 lines: read from `table` when the page
+/// has an entry, otherwise sized from `world` and stored.
+pub(crate) fn page_line_sizes(
+    table: &mut LineSizes,
+    codec: Codec,
+    world: &dyn LineSource,
+    page: u64,
+    events: &DeviceEvents,
+) -> [u8; LINES_PER_PAGE] {
+    if let Some(&sizes) = table.get(&page) {
+        events.size_calls.add(LINES_PER_PAGE as u64);
+        events.size_memo_hits.add(LINES_PER_PAGE as u64);
+        return sizes;
     }
-
-    /// Compressed size in bytes of the line at `line_addr` (0 for an
-    /// all-zero line), memoized per (line, content generation).
-    pub fn size(&mut self, world: &dyn LineSource, line_addr: u64, events: &DeviceEvents) -> usize {
-        events.size_calls.add(1);
-        let line_id = line_addr / 64;
-        let generation = world.generation(line_addr);
-        let slot = (line_id as usize) & (MEMO_ENTRIES - 1);
-        let entry = &self.memo[slot];
-        if entry.valid && entry.line_id == line_id && entry.generation == generation {
-            events.size_memo_hits.add(1);
-            return entry.size as usize;
-        }
-        events.size_memo_misses.add(1);
-        let data = world.line_data(line_addr);
-        let size = if compresso_compression::is_zero_line(&data) {
-            0
-        } else {
-            self.codec.compressed_size(&data)
-        };
-        self.memo[slot] = MemoEntry {
-            line_id,
-            generation,
-            size: size as u8,
-            valid: true,
-        };
-        size
+    let mut sizes = [0u8; LINES_PER_PAGE];
+    for (line, size) in sizes.iter_mut().enumerate() {
+        let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
+        *size = size_line(codec, world, addr, events);
     }
-
-    /// Fully encodes the line at `line_addr` into the embedded scratch
-    /// buffer (zero-allocation once warm). Not used by the fill/writeback
-    /// paths — the `full_encode` counter proves it.
-    pub fn encode(
-        &mut self,
-        world: &dyn LineSource,
-        line_addr: u64,
-        events: &DeviceEvents,
-    ) -> CompressedLineRef<'_> {
-        events.size_full_encodes.add(1);
-        let data = world.line_data(line_addr);
-        self.codec.compress_into(&data, &mut self.scratch)
-    }
+    table.insert(page, sizes);
+    sizes
 }
 
 /// A main-memory device: the uncompressed baseline, Compresso, or an LCP

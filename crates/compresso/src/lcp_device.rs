@@ -9,7 +9,7 @@
 
 use crate::alloc::BuddyAllocator;
 use crate::compresso::{alloc_buddy_with_retry, Codec};
-use crate::device::{LineSizer, MemoryDevice};
+use crate::device::{page_line_sizes, resize_written_line, LineSizes, MemoryDevice};
 use crate::faultkit::{FaultPlan, FaultStats};
 use crate::journal::{
     self, AppendOutcome, DurabilityEvents, Journal, JournalRecord, LcpImage, PageImage,
@@ -46,12 +46,14 @@ struct LcpMeta {
 pub struct LcpDevice {
     name: &'static str,
     bins: BinSet,
-    sizer: LineSizer,
+    codec: Codec,
     world: Box<dyn LineSource>,
     mem: MainMemory,
     mcache: MetadataCache,
     alloc: BuddyAllocator,
     pages: HashMap<u64, LcpMeta>,
+    /// True line sizes of every sized page (see [`LineSizes`]).
+    line_sizes: LineSizes,
     prefetch: VecDeque<(u64, u32)>,
     stats: DeviceEvents,
     registry: Registry,
@@ -101,12 +103,13 @@ impl LcpDevice {
         let device = Self {
             name,
             bins,
-            sizer: LineSizer::new(Codec::bpc()),
+            codec: Codec::bpc(),
             world,
             mem: MainMemory::new(MemConfig::ddr4_2666()),
             mcache: MetadataCache::paper_default(false),
             alloc: BuddyAllocator::new(8 << 30),
             pages: HashMap::new(),
+            line_sizes: HashMap::new(),
             prefetch: VecDeque::new(),
             stats: DeviceEvents::new(),
             registry: Registry::new(),
@@ -154,8 +157,16 @@ impl LcpDevice {
         self.faults.as_ref().map(|f| f.stats())
     }
 
-    fn line_size(&mut self, line_addr: u64) -> usize {
-        self.sizer.size(self.world.as_ref(), line_addr, &self.stats)
+    /// The true sizes of `page`'s lines, as the LCP planner takes them.
+    fn page_sizes(&mut self, page: u64) -> [usize; LINES_PER_PAGE] {
+        page_line_sizes(
+            &mut self.line_sizes,
+            self.codec,
+            self.world.as_ref(),
+            page,
+            &self.stats,
+        )
+        .map(usize::from)
     }
 
     fn page_fit(bytes: u32) -> u32 {
@@ -174,13 +185,8 @@ impl LcpDevice {
         if self.pages.contains_key(&page) {
             return;
         }
-        let mut sizes = [0usize; LINES_PER_PAGE];
-        let mut zero_lines = [false; LINES_PER_PAGE];
-        for (line, size) in sizes.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *size = self.line_size(addr);
-            zero_lines[line] = *size == 0;
-        }
+        let sizes = self.page_sizes(page);
+        let zero_lines = sizes.map(|size| size == 0);
         let plan = plan(&sizes, &self.bins);
         let all_zero = plan.target == 0;
         let page_bytes = Self::page_fit(plan.needed_bytes);
@@ -256,11 +262,7 @@ impl LcpDevice {
     /// [`DeviceStats::fault_extra`] (corruption recovery) instead of
     /// `overflow_extra`.
     fn replan_page(&mut self, now: u64, page: u64, fault: bool) -> u64 {
-        let mut sizes = [0usize; LINES_PER_PAGE];
-        for (line, size) in sizes.iter_mut().enumerate() {
-            let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
-            *size = self.line_size(addr);
-        }
+        let sizes = self.page_sizes(page);
         let new_plan = plan(&sizes, &self.bins);
         let new_bytes = Self::page_fit(new_plan.needed_bytes);
         // Allocate the new frame before freeing the old one, so a refused
@@ -305,9 +307,7 @@ impl LcpDevice {
         meta.page_bytes = new_bytes;
         meta.base = new_base;
         meta.all_zero = new_bytes == 0;
-        for (line, size) in sizes.iter().enumerate() {
-            meta.zero_lines[line] = *size == 0;
-        }
+        meta.zero_lines = sizes.map(|size| size == 0);
         self.commit_lcp(page);
         // The OS trap dominates the latency of an OS-aware overflow.
         t + OS_PAGE_FAULT_CYCLES
@@ -613,7 +613,11 @@ impl Backend for LcpDevice {
             for (i, &addr) in spec_bursts.iter().enumerate() {
                 let r = self.mem.read(now, addr);
                 spec_done = spec_done.max(r.complete_at);
-                if i == 0 {
+                if is_exception {
+                    // Wasted speculation: the real (exception) access
+                    // follows, so every speculative burst is overhead.
+                    self.stats.overflow_extra += 1;
+                } else if i == 0 {
                     self.stats.data_accesses += 1;
                 } else {
                     self.stats.split_access_extra += 1;
@@ -627,8 +631,6 @@ impl Backend for LcpDevice {
                 }
                 return done;
             }
-            // Wasted speculation: the real (exception) access follows.
-            self.stats.overflow_extra += spec_bursts.len() as u64;
         }
 
         if bursts_hit_prefetch(&self.prefetch, page, offset, size) {
@@ -689,7 +691,13 @@ impl Backend for LcpDevice {
         self.drain_eviction_storm(t);
 
         self.world.on_writeback(line_addr);
-        let new_size = self.line_size(line_addr);
+        let new_size = usize::from(resize_written_line(
+            &mut self.line_sizes,
+            self.codec,
+            self.world.as_ref(),
+            line_addr,
+            &self.stats,
+        ));
         let meta = self.pages.get_mut(&page).expect("ensured");
 
         if new_size == 0 {
@@ -805,5 +813,74 @@ impl MemoryDevice for LcpDevice {
 
     fn touched_ospa_bytes(&self) -> u64 {
         self.pages.len() as u64 * PAGE_BYTES as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::size_line;
+    use crate::faultkit::FaultConfig;
+    use compresso_workloads::{benchmark, DataWorld};
+
+    /// Fills and writebacks over more pages than the metadata cache
+    /// holds, with enough writes per page to fill exception regions.
+    fn churn(d: &mut LcpDevice, pages: u64, rounds: u64) {
+        let mut t = 0;
+        for round in 0..rounds {
+            for page in 0..pages {
+                let base = page * PAGE_BYTES as u64;
+                t = d.fill(t, base + ((page + round) % 64) * 64).max(t);
+                for k in 0..(page + round) % 8 * 2 {
+                    let line = (page * 5 + round * 11 + k * 17) % 64;
+                    t = d.writeback(t, base + line * 64).max(t);
+                }
+            }
+        }
+    }
+
+    /// Every table entry equals a fresh sizing of its page from the
+    /// world, and the kernel ran only for first sizings and writebacks.
+    fn audit_line_sizes(d: &LcpDevice) {
+        let scratch = DeviceEvents::new();
+        for (&page, sizes) in &d.line_sizes {
+            for (line, &size) in sizes.iter().enumerate() {
+                let addr = page * PAGE_BYTES as u64 + line as u64 * 64;
+                let fresh = size_line(d.codec, d.world.as_ref(), addr, &scratch);
+                assert_eq!(size, fresh, "page {page} line {line}: stale table size");
+            }
+        }
+        let s = d.device_stats();
+        assert_eq!(
+            s.size_calls - s.size_memo_hits,
+            64 * d.line_sizes.len() as u64 + s.demand_writebacks,
+            "a line is sized on first need and on each write only ({s:?})"
+        );
+    }
+
+    #[test]
+    fn line_size_table_matches_the_world_through_churn_and_recovery() {
+        let profile = benchmark("gcc").expect("paper benchmark");
+        let mut d = LcpDevice::lcp(DataWorld::new(&profile));
+        d.enable_journaling();
+        d.inject_faults(FaultPlan::new(7, FaultConfig::default()).with_crash_at(70_000));
+        churn(&mut d, 2_000, 6);
+        assert!(d.is_crashed(), "the armed crash must fire mid-churn");
+        let s = d.device_stats();
+        assert!(s.page_overflows > 0 && s.ir_placements > 0, "{s:?}");
+        audit_line_sizes(&d);
+
+        let journal = d.journal_bytes().expect("journaled").to_vec();
+        let (mut r, report) = LcpDevice::recover_lcp(Box::new(DataWorld::new(&profile)), &journal);
+        assert!(report.is_clean(), "{:?}", report.violations);
+        assert!(r.line_sizes.is_empty(), "recovered pages carry no sizes");
+        churn(&mut r, 2_000, 6);
+        let s = r.device_stats();
+        assert!(s.page_overflows > 0 && s.size_memo_hits > 0, "{s:?}");
+        assert!(
+            !r.line_sizes.is_empty(),
+            "recovered pages are sized on need"
+        );
+        audit_line_sizes(&r);
     }
 }

@@ -44,7 +44,6 @@ pub mod config;
 pub mod device;
 pub mod error;
 pub mod faultkit;
-pub mod hugepage;
 pub mod journal;
 pub mod lcp;
 pub mod lcp_device;
@@ -61,7 +60,6 @@ pub use config::{CompressoConfig, DurabilityConfig, PageAllocation};
 pub use device::{MemoryDevice, UncompressedDevice};
 pub use error::CompressoError;
 pub use faultkit::{FaultConfig, FaultPlan, FaultStats, MetadataFault};
-pub use hugepage::{HugePageMap, OsPageSize};
 pub use journal::{
     parse as parse_journal, AppendOutcome, DurabilityEvents, Journal, JournalRecord, LcpImage,
     PageImage, ParseReport, RecoveryReport, ShadowModel,

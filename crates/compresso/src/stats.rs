@@ -77,8 +77,6 @@ device_events! {
     balloon_retries => "balloon.retry.total",
     size_calls => "codec.size_fastpath.call.total",
     size_memo_hits => "codec.size_fastpath.memo_hit.total",
-    size_memo_misses => "codec.size_fastpath.memo_miss.total",
-    size_full_encodes => "codec.size_fastpath.full_encode.total",
 }
 
 /// Counters shared by all [`crate::MemoryDevice`] implementations.
@@ -158,17 +156,13 @@ pub struct DeviceStats {
     /// `MpaController::on_balloon_retry`.
     pub balloon_retries: u64,
 
-    /// Size-only fast-path invocations (every fill/writeback/repack line
-    /// sizing goes through [`crate::LineSizer`]).
+    /// Per-line size lookups: first touch, writeback, repack,
+    /// recompression and LCP re-plan each look up the lines they place.
     pub size_calls: u64,
-    /// Size queries answered by the direct-mapped memo without touching
-    /// the line data or the kernel.
+    /// Lookups answered from the device's per-page line-size table
+    /// without touching the line data or the kernel. The rest,
+    /// `size_calls - size_memo_hits`, ran the size-only kernel.
     pub size_memo_hits: u64,
-    /// Size queries that ran the size-only kernel (memo tag mismatch).
-    pub size_memo_misses: u64,
-    /// Full (payload-materializing) encodes reached from the device size
-    /// path. Must stay zero: the hot path is size-only by construction.
-    pub size_full_encodes: u64,
 }
 
 impl DeviceStats {
@@ -293,7 +287,6 @@ mod tests {
         let mut ev = DeviceEvents::new();
         ev.size_calls += 5;
         ev.size_memo_hits += 3;
-        ev.size_memo_misses += 2;
         let reg = Registry::new();
         ev.register_metrics(&reg, "compresso");
         let snap = reg.snapshot();
@@ -304,14 +297,6 @@ mod tests {
         assert_eq!(
             snap.counter("compresso.codec.size_fastpath.memo_hit.total"),
             Some(3)
-        );
-        assert_eq!(
-            snap.counter("compresso.codec.size_fastpath.memo_miss.total"),
-            Some(2)
-        );
-        assert_eq!(
-            snap.counter("compresso.codec.size_fastpath.full_encode.total"),
-            Some(0)
         );
     }
 

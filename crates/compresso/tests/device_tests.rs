@@ -279,3 +279,59 @@ fn metadata_hostile_workload_misses_in_mcache() {
         s.mcache_hit_rate()
     );
 }
+
+/// Every DRAM burst a device issues is counted exactly once in
+/// `DeviceStats::total_accesses()`. The schedule makes LCP's speculative
+/// reads miss: writes push lines into exception slots, a sweep of other
+/// pages evicts their metadata, and each later fill then speculates on
+/// the regular slot of a line that lives in the exception region.
+#[test]
+fn device_accesses_conserve_dram_bursts() {
+    fn run<D: MemoryDevice>(mut d: D) {
+        let name = d.device_name();
+        let hot = 32u64;
+        let mut t = 0;
+        for round in 0..4u64 {
+            for page in 0..hot {
+                for line in 0..64u64 {
+                    if (line + round) % 2 == 0 {
+                        t = d.writeback(t, page * PAGE_BYTES + line * 64).max(t);
+                    }
+                }
+            }
+        }
+        let before = d.device_stats();
+        for line in (0..64u64).step_by(4) {
+            for page in 0..hot {
+                t = d.fill(t, page * PAGE_BYTES + line * 64).max(t);
+            }
+            // Evict the hot pages' metadata before the next line.
+            for page in hot..hot + 1_600 {
+                t = d.fill(t, page * PAGE_BYTES).max(t);
+            }
+        }
+        let s = d.device_stats();
+        let dram = d.dram_stats();
+        assert_eq!(
+            s.total_accesses(),
+            dram.reads + dram.writes,
+            "{name}: device counters must account for every DRAM burst ({s:?})"
+        );
+        if name.starts_with("LCP") {
+            // Fills re-plan nothing, so new overflow traffic during the
+            // fill phase is wasted speculation.
+            assert_eq!(s.page_overflows, before.page_overflows, "{name}");
+            assert!(
+                s.overflow_extra > before.overflow_extra,
+                "{name}: fills must mis-speculate on exception lines"
+            );
+        }
+    }
+    run(UncompressedDevice::new());
+    run(CompressoDevice::new(
+        CompressoConfig::compresso(),
+        world("gcc"),
+    ));
+    run(LcpDevice::lcp(world("gcc")));
+    run(LcpDevice::lcp_align(world("gcc")));
+}

@@ -5,10 +5,9 @@ use crate::sweep::{run_grid, SweepCell, SweepOptions};
 use compresso_energy::{evaluate, EnergyParams};
 use compresso_telemetry::CellMetrics;
 use compresso_workloads::all_benchmarks;
-use serde::Serialize;
 
 /// Relative energies for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig12Row {
     /// Benchmark name.
     pub benchmark: String,

@@ -13,10 +13,9 @@ use compresso_telemetry::{
     CellMetrics, Counter, EpochRecorder, LatencyHistogram, MetricsReport, Registry,
 };
 use compresso_workloads::{all_benchmarks, BenchmarkProfile, DataWorld, PAGE_BYTES};
-use serde::Serialize;
 
 /// Ratios for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Row {
     /// Benchmark name.
     pub benchmark: String,

@@ -15,10 +15,9 @@ use compresso_cache_sim::Backend;
 use compresso_core::{CompressoConfig, CompressoDevice, MemoryDevice};
 use compresso_telemetry::{CellMetrics, EpochRecorder, MetricsReport};
 use compresso_workloads::{all_benchmarks, DataWorld, Evolution, PAGE_BYTES};
-use serde::Serialize;
 
 /// Repacking impact for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Row {
     /// Benchmark name.
     pub benchmark: String,

@@ -6,10 +6,9 @@ use crate::sweep::{run_grid, successes, SweepCell, SweepOptions};
 use compresso_core::{CompressoConfig, PageAllocation};
 use compresso_telemetry::CellMetrics;
 use compresso_workloads::all_benchmarks;
-use serde::Serialize;
 
 /// Extra-access breakdown for one benchmark under one configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MovementRow {
     /// Benchmark name.
     pub benchmark: String,

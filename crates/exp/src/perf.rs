@@ -14,10 +14,9 @@ use compresso_telemetry::{CellMetrics, MetricsReport};
 use compresso_workloads::{
     all_benchmarks, benchmark, full_run, BenchmarkProfile, UnknownBenchmark, MIXES,
 };
-use serde::Serialize;
 
 /// Performance numbers for one workload.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PerfRow {
     /// Benchmark or mix name.
     pub workload: String,
@@ -42,7 +41,6 @@ pub struct PerfRow {
     /// Merged metric bundle of the four cycle runs, each under its
     /// system prefix (`uncompressed.*`, `lcp.*`, `lcp_align.*`,
     /// `compresso.*`).
-    #[serde(skip)]
     pub metrics: MetricsReport,
 }
 
@@ -180,7 +178,7 @@ pub fn fig10_with_metrics(
 
 /// Geomean summary (cycle, memcap, overall) excluding stalled workloads
 /// from the overall combination, as the paper does for Fig. 10b.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PerfSummary {
     /// Geomean cycle-based relative performance (LCP, Align, Compresso).
     pub cycle: (f64, f64, f64),
@@ -332,7 +330,7 @@ pub fn mix_row_with(
 }
 
 /// Tab. II: geomean speedups at 80/70/60% constrained memory.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Tab2Row {
     /// Memory constraint as a fraction of footprint.
     pub fraction: f64,

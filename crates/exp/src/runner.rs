@@ -14,7 +14,6 @@ use compresso_workloads::{
     offset_trace, require_benchmark, BenchmarkProfile, CombinedWorld, DataWorld, TraceGenerator,
     UnknownBenchmark,
 };
-use serde::Serialize;
 
 /// Which memory system to simulate.
 #[derive(Debug, Clone)]
@@ -73,7 +72,7 @@ impl SystemKind {
 }
 
 /// One cycle-based simulation result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// System label.
     pub system: String,
@@ -84,16 +83,13 @@ pub struct RunResult {
     /// Instructions retired (summed across cores).
     pub instructions: u64,
     /// Device event counters.
-    #[serde(skip)]
     pub device: DeviceStats,
     /// DRAM counters.
-    #[serde(skip)]
     pub dram: MemStats,
     /// Compression ratio at end of run.
     pub ratio: f64,
     /// Full metric bundle: final registry snapshot plus the epoch
     /// series (empty unless an epoch length was requested).
-    #[serde(skip)]
     pub metrics: MetricsReport,
 }
 

@@ -7,13 +7,12 @@ use compresso_compression::{BinSet, Bpc, Compressor};
 use compresso_core::{CompressoConfig, PageAllocation};
 use compresso_telemetry::CellMetrics;
 use compresso_workloads::{all_benchmarks, BenchmarkProfile, DataWorld, PAGE_BYTES};
-use serde::Serialize;
 
 /// Benchmarks whose cycle runs supply the overflow counts.
 const OVERFLOW_BENCHMARKS: [&str; 4] = ["gcc", "lbm", "libquantum", "Forestfire"];
 
 /// Result of one trade-off configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TradeoffRow {
     /// Configuration label.
     pub config: String,

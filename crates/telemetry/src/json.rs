@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON: a [`JsonValue`] tree, a recursive-descent
 //! parser and string-escaping helpers.
 //!
-//! The workspace's vendored `serde` is an offline no-op stub, so the
-//! metrics exporters write JSON by hand; this parser exists so the
+//! The workspace has no serialization dependency, so the metrics
+//! exporters write JSON by hand; this parser exists so the
 //! `metrics_check` CI binary and the round-trip tests can read it back
 //! without any external dependency. It accepts the JSON this crate
 //! emits (and standard JSON generally); it is not meant to be a
